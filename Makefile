@@ -16,10 +16,15 @@ all: check
 build:
 	$(GO) build ./...
 
-# go vet always; staticcheck when installed (CI installs it — see
-# .github/workflows/ci.yml — so the gate is enforced there even when a
-# local checkout lacks the binary).
+# gofmt and go vet always; staticcheck when installed (CI installs it —
+# see .github/workflows/ci.yml — so the gate is enforced there even when
+# a local checkout lacks the binary). Any file gofmt would rewrite fails
+# the target.
 vet:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \

@@ -41,7 +41,7 @@ func TestHotpathSweep(t *testing.T) {
 		"spsc-ring|pushpop": false, "channel|pushpop": false,
 		"spsc-ring|handoff": false, "channel|handoff": false,
 		"mpsc-ring|handoff-4p": false, "channel|handoff-4p": false,
-		"doorbell|ring+poll": false,
+		"doorbell|ring+poll":  false,
 		"logrec|tx-roundtrip": false, "logrec|op-roundtrip": false,
 		"proto|request": false, "proto|response": false,
 		"spsc-vs-channel|speedup": false,

@@ -308,7 +308,7 @@ func TestRingMembershipEdges(t *testing.T) {
 	r.Add(3)
 	r.Add(1)
 	v := r.Version()
-	r.Add(3) // duplicate: no-op, no version bump
+	r.Add(3)    // duplicate: no-op, no version bump
 	r.Remove(9) // non-member: no-op, no version bump
 	if r.Version() != v {
 		t.Fatal("no-op membership changes bumped the version")

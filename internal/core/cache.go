@@ -8,7 +8,6 @@
 package core
 
 import (
-	"container/list"
 	"math/rand"
 
 	"asymnvm/internal/stats"
@@ -29,14 +28,21 @@ const (
 // HybridSetSize is the random candidate-set size (32 in §4.4).
 const HybridSetSize = 32
 
+// noEntry terminates the slab's intrusive lists.
+const noEntry int32 = -1
+
+// cacheEntry is one slab slot. A vacant slot may keep its data buffer,
+// so the next insertion that takes the slot refills it in place.
 type cacheEntry struct {
 	addr  uint64
+	epoch uint64 // seqlock SN the bytes were read under; ^0 = always valid
 	data  []byte
 	tag   uint32 // owning structure (for per-structure invalidation)
-	epoch uint64 // seqlock SN the bytes were read under; ^0 = always valid
-	use   uint64 // logical use counter for hybrid sampling
-	elem  *list.Element
-	slot  int // index in the sampling slice
+	slot  int32  // position in the sampling order (sample/use)
+	// Intrusive per-tag list, and the recency list (PolicyLRU only;
+	// head = most recent).
+	tagPrev, tagNext int32
+	lruPrev, lruNext int32
 }
 
 // EpochAlways marks entries that never go stale (immutable nodes of
@@ -48,14 +54,30 @@ const EpochAlways = ^uint64(0)
 // nodes ("pages" whose size is set per structure, §4.4), keyed by global
 // NVM address. Owned by a single front-end actor; not safe for concurrent
 // use.
+//
+// Entries live in a slab indexed by int32 with a free list, and a vacant
+// slot keeps its data buffer for the next insertion, so a full cache
+// evicts and refills without allocating. Retained buffers are bounded:
+// an entry's buffer never exceeds twice its bytes (plus a word), and
+// vacant slots keep at most capacity bytes of buffers between them (the
+// rest go to the garbage collector). The hybrid policy samples from a
+// dense sample order with the use ticks in a parallel array; removal
+// swaps the last sample into the hole. Each structure's entries form an
+// intrusive list for InvalidateTag, and only PolicyLRU keeps a recency
+// list.
 type Cache struct {
 	capacity int64
 	used     int64
+	spare    int64 // buffer capacity held by vacant slots
 	policy   Policy
-	entries  map[uint64]*cacheEntry
-	byTag    map[uint32]map[uint64]*cacheEntry // per-structure index for InvalidateTag
-	lru      *list.List                        // front = most recent
-	sample   []*cacheEntry
+	index    map[uint64]int32 // addr -> slab slot
+	slab     []cacheEntry
+	free     []int32          // vacant slab slots
+	tagHead  map[uint32]int32 // per-structure list heads
+	lruHead  int32
+	lruTail  int32
+	sample   []int32  // live slab slots in sampling order
+	use      []uint64 // logical use tick, parallel to sample
 	tick     uint64
 	rng      *rand.Rand
 	st       *stats.Stats
@@ -71,50 +93,49 @@ func NewCache(capacity int64, policy Policy, st *stats.Stats) *Cache {
 	return &Cache{
 		capacity: capacity,
 		policy:   policy,
-		entries:  make(map[uint64]*cacheEntry),
-		byTag:    make(map[uint32]map[uint64]*cacheEntry),
-		lru:      list.New(),
+		index:    make(map[uint64]int32),
+		tagHead:  make(map[uint32]int32),
+		lruHead:  noEntry,
+		lruTail:  noEntry,
 		rng:      rand.New(rand.NewSource(0x5eed)),
 		st:       st,
 	}
 }
 
 // Len reports the number of cached entries.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.sample) }
 
 // Used reports the cached bytes.
 func (c *Cache) Used() int64 { return c.used }
 
 // Get returns the cached bytes for addr when present and valid at epoch.
 // Entries tagged EpochAlways match any epoch. The returned slice is the
-// cache's own copy; callers must not retain it across mutations. A miss
-// is counted only when countMiss is set — reads the caller deliberately
-// routes around the cache (cold tree levels, §8.3) are direct remote
-// reads, not cache misses.
+// cache's own buffer and is reused once the entry is replaced or evicted:
+// callers copy out before the next Put. A miss is counted only when
+// countMiss is set — reads the caller deliberately routes around the
+// cache (cold tree levels, §8.3) are direct remote reads, not cache
+// misses.
 func (c *Cache) Get(addr uint64, epoch uint64, countMiss bool) ([]byte, bool) {
-	e, ok := c.entries[addr]
-	if !ok {
-		if countMiss {
-			c.st.CacheMiss.Add(1)
+	i, ok := c.index[addr]
+	if ok {
+		e := &c.slab[i]
+		if e.epoch == EpochAlways || e.epoch == epoch {
+			c.touch(i)
+			c.st.CacheHit.Add(1)
+			return e.data, true
 		}
-		return nil, false
-	}
-	if e.epoch != EpochAlways && e.epoch != epoch {
 		// Stale under the seqlock: drop so the refill replaces it.
-		c.remove(e)
-		if countMiss {
-			c.st.CacheMiss.Add(1)
-		}
-		return nil, false
+		c.remove(i)
 	}
-	c.touch(e)
-	c.st.CacheHit.Add(1)
-	return e.data, true
+	if countMiss {
+		c.st.CacheMiss.Add(1)
+	}
+	return nil, false
 }
 
 // Contains reports presence without counting a hit or miss.
 func (c *Cache) Contains(addr uint64) bool {
-	_, ok := c.entries[addr]
+	_, ok := c.index[addr]
 	return ok
 }
 
@@ -123,25 +144,32 @@ func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
 	if int64(len(data)) > c.capacity {
 		return // larger than the whole cache: bypass
 	}
-	if e, ok := c.entries[addr]; ok {
+	if i, ok := c.index[addr]; ok {
+		e := &c.slab[i]
 		c.used += int64(len(data)) - int64(len(e.data))
-		e.data = append(e.data[:0], data...)
+		fill(e, data)
 		if e.tag != tag {
-			c.untag(e)
+			c.untag(i)
 			e.tag = tag
-			c.retag(e)
+			c.retag(i)
 		}
 		e.epoch = epoch
-		c.touch(e)
+		c.touch(i)
 	} else {
-		e := &cacheEntry{addr: addr, data: append([]byte(nil), data...), tag: tag, epoch: epoch}
-		e.elem = c.lru.PushFront(e)
-		e.slot = len(c.sample)
-		c.sample = append(c.sample, e)
-		c.entries[addr] = e
-		c.retag(e)
+		i := c.takeSlot()
+		e := &c.slab[i]
+		e.addr, e.tag, e.epoch = addr, tag, epoch
+		fill(e, data)
+		e.slot = int32(len(c.sample))
+		c.sample = append(c.sample, i)
+		c.use = append(c.use, 0)
+		c.index[addr] = i
+		c.retag(i)
+		if c.policy == PolicyLRU {
+			c.lruPushFront(i)
+		}
 		c.used += int64(len(data))
-		c.touch(e)
+		c.touch(i)
 	}
 	for c.used > c.capacity {
 		c.evictOne()
@@ -152,13 +180,14 @@ func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
 // present (the write-through of Figure 4's step 4). It reports whether the
 // entry existed.
 func (c *Cache) Update(addr uint64, off int, data []byte) bool {
-	e, ok := c.entries[addr]
+	i, ok := c.index[addr]
 	if !ok {
 		return false
 	}
+	e := &c.slab[i]
 	if off < 0 || off+len(data) > len(e.data) {
 		// Partial overlap with a differently-sized entry: drop it.
-		c.remove(e)
+		c.remove(i)
 		return false
 	}
 	copy(e.data[off:], data)
@@ -167,90 +196,180 @@ func (c *Cache) Update(addr uint64, off int, data []byte) bool {
 
 // Invalidate drops the entry for addr if present.
 func (c *Cache) Invalidate(addr uint64) {
-	if e, ok := c.entries[addr]; ok {
-		c.remove(e)
+	if i, ok := c.index[addr]; ok {
+		c.remove(i)
 	}
 }
 
 // InvalidateTag drops every entry owned by one structure. The per-tag
-// index makes this O(entries of that tag) instead of a full-cache scan —
+// list makes this O(entries of that tag) instead of a full-cache scan —
 // dropping one structure must not stall a front-end caching millions of
 // nodes from its neighbours.
 func (c *Cache) InvalidateTag(tag uint32) {
-	set := c.byTag[tag]
-	c.tagScanned = len(set)
-	for _, e := range set {
-		c.remove(e)
+	c.tagScanned = 0
+	i, ok := c.tagHead[tag]
+	for ok && i != noEntry {
+		next := c.slab[i].tagNext
+		c.remove(i)
+		c.tagScanned++
+		i = next
 	}
 }
 
 // Clear empties the cache (used when a back-end failure aborts the
-// in-flight transaction, §4.3).
+// in-flight transaction, §4.3). The slots are kept; their buffers are
+// released.
 func (c *Cache) Clear() {
-	c.entries = make(map[uint64]*cacheEntry)
-	c.byTag = make(map[uint32]map[uint64]*cacheEntry)
-	c.lru.Init()
+	for _, i := range c.sample {
+		c.slab[i].data = nil
+		c.free = append(c.free, i)
+	}
+	clear(c.index)
+	clear(c.tagHead)
 	c.sample = c.sample[:0]
+	c.use = c.use[:0]
+	c.lruHead, c.lruTail = noEntry, noEntry
 	c.used = 0
 }
 
-func (c *Cache) touch(e *cacheEntry) {
+// takeSlot pops a vacant slab slot, growing the slab when none is free.
+func (c *Cache) takeSlot() int32 {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.spare -= int64(cap(c.slab[i].data))
+		return i
+	}
+	c.slab = append(c.slab, cacheEntry{})
+	return int32(len(c.slab) - 1)
+}
+
+func (c *Cache) touch(i int32) {
 	c.tick++
-	e.use = c.tick
-	c.lru.MoveToFront(e.elem)
-}
-
-func (c *Cache) retag(e *cacheEntry) {
-	set := c.byTag[e.tag]
-	if set == nil {
-		set = make(map[uint64]*cacheEntry)
-		c.byTag[e.tag] = set
-	}
-	set[e.addr] = e
-}
-
-func (c *Cache) untag(e *cacheEntry) {
-	set := c.byTag[e.tag]
-	delete(set, e.addr)
-	if len(set) == 0 {
-		delete(c.byTag, e.tag)
+	c.use[c.slab[i].slot] = c.tick
+	if c.policy == PolicyLRU && c.lruHead != i {
+		c.lruUnlink(i)
+		c.lruPushFront(i)
 	}
 }
 
-func (c *Cache) remove(e *cacheEntry) {
-	delete(c.entries, e.addr)
-	c.untag(e)
-	c.lru.Remove(e.elem)
+func (c *Cache) lruPushFront(i int32) {
+	e := &c.slab[i]
+	e.lruPrev, e.lruNext = noEntry, c.lruHead
+	if c.lruHead != noEntry {
+		c.slab[c.lruHead].lruPrev = i
+	} else {
+		c.lruTail = i
+	}
+	c.lruHead = i
+}
+
+func (c *Cache) lruUnlink(i int32) {
+	e := &c.slab[i]
+	if e.lruPrev != noEntry {
+		c.slab[e.lruPrev].lruNext = e.lruNext
+	} else {
+		c.lruHead = e.lruNext
+	}
+	if e.lruNext != noEntry {
+		c.slab[e.lruNext].lruPrev = e.lruPrev
+	} else {
+		c.lruTail = e.lruPrev
+	}
+}
+
+// retag links slot i into its tag's list, right behind the head when
+// the list exists, so the head map is written only for a new tag.
+func (c *Cache) retag(i int32) {
+	e := &c.slab[i]
+	head, ok := c.tagHead[e.tag]
+	if !ok {
+		e.tagPrev, e.tagNext = noEntry, noEntry
+		c.tagHead[e.tag] = i
+		return
+	}
+	h := &c.slab[head]
+	e.tagPrev, e.tagNext = head, h.tagNext
+	if h.tagNext != noEntry {
+		c.slab[h.tagNext].tagPrev = i
+	}
+	h.tagNext = i
+}
+
+func (c *Cache) untag(i int32) {
+	e := &c.slab[i]
+	switch {
+	case e.tagPrev != noEntry:
+		c.slab[e.tagPrev].tagNext = e.tagNext
+	case e.tagNext != noEntry:
+		c.tagHead[e.tag] = e.tagNext
+	default:
+		delete(c.tagHead, e.tag)
+	}
+	if e.tagNext != noEntry {
+		c.slab[e.tagNext].tagPrev = e.tagPrev
+	}
+}
+
+// remove frees slot i; the last sample moves into its sampling position.
+func (c *Cache) remove(i int32) {
+	e := &c.slab[i]
+	delete(c.index, e.addr)
+	c.untag(i)
+	if c.policy == PolicyLRU {
+		c.lruUnlink(i)
+	}
 	last := len(c.sample) - 1
-	c.sample[e.slot] = c.sample[last]
-	c.sample[e.slot].slot = e.slot
+	moved := c.sample[last]
+	c.sample[e.slot] = moved
+	c.use[e.slot] = c.use[last]
+	c.slab[moved].slot = e.slot
 	c.sample = c.sample[:last]
+	c.use = c.use[:last]
 	c.used -= int64(len(e.data))
+	if c.spare+int64(cap(e.data)) > c.capacity {
+		e.data = nil
+	} else {
+		e.data = e.data[:0]
+		c.spare += int64(cap(e.data))
+	}
+	c.free = append(c.free, i)
+}
+
+// fill copies data into e's buffer, replacing a buffer more than twice
+// the size (plus a word) of what it is to hold.
+func fill(e *cacheEntry, data []byte) {
+	if cap(e.data) > 2*len(data)+8 {
+		e.data = nil
+	}
+	e.data = append(e.data[:0], data...)
 }
 
 // evictOne removes one victim according to the policy.
 func (c *Cache) evictOne() {
-	if len(c.sample) == 0 {
+	n := len(c.sample)
+	if n == 0 {
 		return
 	}
-	var victim *cacheEntry
+	var victim int // position in the sampling order
 	switch c.policy {
 	case PolicyLRU:
-		victim = c.lru.Back().Value.(*cacheEntry)
+		victim = int(c.slab[c.lruTail].slot)
 	case PolicyRR:
-		victim = c.sample[c.rng.Intn(len(c.sample))]
+		victim = c.rng.Intn(n)
 	default: // PolicyHybrid: random set, then least-recently-used member
 		k := HybridSetSize
-		if k > len(c.sample) {
-			k = len(c.sample)
+		if k > n {
+			k = n
 		}
-		for i := 0; i < k; i++ {
-			cand := c.sample[c.rng.Intn(len(c.sample))]
-			if victim == nil || cand.use < victim.use {
+		victim = -1
+		for j := 0; j < k; j++ {
+			cand := c.rng.Intn(n)
+			if victim < 0 || c.use[cand] < c.use[victim] {
 				victim = cand
 			}
 		}
 	}
-	c.remove(victim)
+	c.remove(c.sample[victim])
 	c.st.CacheEvict.Add(1)
 }

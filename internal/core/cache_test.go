@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"asymnvm/internal/stats"
@@ -231,5 +232,64 @@ func BenchmarkCacheInvalidateTag(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Put(1<<40, make([]byte, 64), 2, EpochAlways)
 		c.InvalidateTag(2)
+	}
+}
+
+// TestCacheMixedSizesBoundRetained mixes word-sized entries (root words,
+// bucket heads) with node-sized ones. Recycled slots must not let every
+// buffer grow to the largest unit it ever held: live buffers stay within
+// twice their bytes (plus a word) and vacant slots hold at most the
+// cache's capacity between them.
+func TestCacheMixedSizesBoundRetained(t *testing.T) {
+	const capacity = 64 << 10
+	for _, pol := range []Policy{PolicyHybrid, PolicyLRU, PolicyRR} {
+		c, _ := newCache(capacity, pol)
+		rng := rand.New(rand.NewSource(1))
+		small, big := make([]byte, 8), make([]byte, 512)
+		check := func(step int) {
+			t.Helper()
+			var live, vacant int64
+			for i := range c.slab {
+				live += int64(cap(c.slab[i].data))
+			}
+			for _, i := range c.free {
+				vacant += int64(cap(c.slab[i].data))
+			}
+			live -= vacant
+			if vacant != c.spare {
+				t.Fatalf("policy %d step %d: vacant buffers %d B, spare counts %d", pol, step, vacant, c.spare)
+			}
+			if limit := 2*c.Used() + 8*int64(c.Len()); live > limit {
+				t.Fatalf("policy %d step %d: live buffers %d B for %d B cached (limit %d)", pol, step, live, c.Used(), limit)
+			}
+			if vacant > capacity {
+				t.Fatalf("policy %d step %d: vacant buffers %d B > capacity %d", pol, step, vacant, capacity)
+			}
+		}
+		addr := uint64(0)
+		for step := 0; step < 40000; step++ {
+			// Phases alternate between mostly-word and mostly-node
+			// insertions; invalidations and in-place resizes free slots
+			// in between.
+			data := small
+			if (step/5000)%2 == 1 && rng.Intn(8) != 0 || rng.Intn(16) == 0 {
+				data = big
+			}
+			switch r := rng.Intn(64); {
+			case r == 0:
+				c.InvalidateTag(uint32(rng.Intn(4)))
+			case r < 8 && addr > 0:
+				c.Put(uint64(rng.Int63n(int64(addr))), data, uint32(rng.Intn(4)), EpochAlways)
+			default:
+				addr++
+				c.Put(addr, data, uint32(addr%4), EpochAlways)
+			}
+			if step%97 == 0 {
+				check(step)
+			}
+		}
+		check(-1)
+		c.Clear()
+		check(-2)
 	}
 }

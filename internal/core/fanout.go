@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"asymnvm/internal/logrec"
 	"asymnvm/internal/rdma"
 	"asymnvm/internal/trace"
@@ -49,10 +47,13 @@ func (f *Fanout) End() {
 }
 
 // PendingReads is an in-flight multi-get posted by PostReadMulti. Its
-// results become valid only after Settle returns nil.
+// results become valid only after Settle returns nil. Each handle owns
+// one PendingReads and its result arena and reuses them every round, so
+// a steady multi-get stream posts and settles without allocating.
 type PendingReads struct {
 	h         *Handle
 	out       [][]byte
+	arena     []byte // backs out on the pipelined path
 	addrs     []uint64
 	missIdx   []int
 	ops       []rdma.ReadOp
@@ -62,39 +63,46 @@ type PendingReads struct {
 }
 
 // PostReadMulti is the posted half of ReadMulti: overlay and cache hits
-// are resolved inline, and the misses are posted as one doorbell group on
-// this handle's connection WITHOUT waiting for completion, so the caller
-// may post on other connections before settling any of them. On a
-// connection without the pipeline the reads are performed synchronously
-// and Settle just hands the results over. Results index-match addrs after
-// Settle.
+// are copied inline into the handle's result arena, and the misses are
+// posted as one doorbell group that reads straight into the arena,
+// WITHOUT waiting for completion, so the caller may post on other
+// connections before settling any of them. On a connection without the
+// pipeline the reads are performed synchronously and Settle just hands
+// the results over. Results index-match addrs after Settle and stay
+// valid only until this handle's next PostReadMulti: callers copy out
+// what they keep.
 func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingReads, error) {
+	p := &h.reads
+	p.h, p.addrs, p.cacheable, p.posted = h, addrs, cacheable, false
+	p.missIdx, p.ops, p.toks = p.missIdx[:0], p.ops[:0], p.toks[:0]
 	if !h.c.pipelined() {
 		out, err := h.ReadMulti(addrs, n, cacheable)
 		if err != nil {
 			return nil, err
 		}
-		return &PendingReads{out: out}, nil
+		p.out = out
+		return p, nil
 	}
 	fe := h.c.fe
-	p := &PendingReads{h: h, cacheable: cacheable, out: make([][]byte, len(addrs)), addrs: addrs}
+	if need := len(addrs) * n; cap(p.arena) < need {
+		p.arena = make([]byte, need)
+	}
+	p.out = p.out[:0]
 	for i, addr := range addrs {
-		if h.writer && h.overlay != nil {
-			if e, ok := h.overlay[addr]; ok {
-				if len(e.data) != n {
-					return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-				}
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				p.out[i] = append([]byte(nil), e.data...)
-				continue
+		buf := p.arena[i*n : (i+1)*n : (i+1)*n]
+		p.out = append(p.out, buf)
+		if e, err := h.overlayHit(addr, n); err != nil || e != nil {
+			if err != nil {
+				return nil, err
 			}
+			copy(buf, e.data)
+			continue
 		}
 		if fe.cache != nil {
 			if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok && len(b) >= n {
 				fe.clk.Advance(fe.prof.DRAMAccess)
 				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				p.out[i] = append([]byte(nil), b[:n]...)
+				copy(buf, b)
 				continue
 			}
 		}
@@ -102,8 +110,6 @@ func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingR
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, n)
-		p.out[i] = buf
 		p.missIdx = append(p.missIdx, i)
 		p.ops = append(p.ops, rdma.ReadOp{Off: off, Buf: buf})
 	}
@@ -112,18 +118,18 @@ func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingR
 	}
 	p.posted = true
 	fe.tr.BeginArg(trace.KindFetch, uint64(len(p.ops)))
-	p.toks = make([]rdma.Token, len(p.ops))
-	for i, op := range p.ops {
-		p.toks[i] = h.c.ep.PostRead(op.Off, op.Buf)
+	for _, op := range p.ops {
+		p.toks = append(p.toks, h.c.ep.PostRead(op.Off, op.Buf))
 	}
 	h.c.ep.Doorbell()
 	fe.tr.End()
 	return p, nil
 }
 
-// Settle waits the posted reads out and returns the results. A faulted
-// completion re-drives the whole miss set synchronously through the
-// retry/failover policy — re-posting one-sided reads is idempotent.
+// Settle waits the posted reads out and returns the results, which alias
+// the handle's arena (see PostReadMulti). A faulted completion re-drives
+// the whole miss set synchronously through the retry/failover policy —
+// re-posting one-sided reads is idempotent.
 func (p *PendingReads) Settle() ([][]byte, error) {
 	if p == nil {
 		return nil, nil
@@ -145,6 +151,9 @@ func (p *PendingReads) Settle() ([][]byte, error) {
 		if err := h.c.epReadV(p.ops); err != nil {
 			return nil, err
 		}
+	}
+	for _, i := range p.missIdx {
+		h.overlayFix(p.addrs[i], p.out[i])
 	}
 	if h.cacheOn(p.cacheable) {
 		for _, i := range p.missIdx {

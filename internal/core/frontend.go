@@ -91,8 +91,8 @@ type Frontend struct {
 	// deadlineAt is the armed virtual-time deadline (0 = none); owned by
 	// the node's operating goroutine like the rest of the writer state.
 	deadlineAt time.Duration
-	tr    *trace.ActorTracer // nil when tracing is disabled
-	tuner *autoTuner         // nil unless Mode.AutoTune
+	tr         *trace.ActorTracer // nil when tracing is disabled
+	tuner      *autoTuner         // nil unless Mode.AutoTune
 }
 
 // FrontendOptions configures a front-end node.

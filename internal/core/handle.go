@@ -17,9 +17,11 @@ const (
 	// hintEvery spaces out the advisory tail-hint persists (§5.1 metadata),
 	// keeping them off the per-operation path.
 	hintEvery = 16
-	// pruneMarks bounds the number of un-pruned flush marks before the
-	// overlay consults the back-end LPN.
+	// pruneMarks bounds the number of unretired flush marks before the
+	// overlay retires all but the newest pruneKeep and consults the
+	// back-end LPN (see pruneOverlay).
 	pruneMarks = 48
+	pruneKeep  = pruneMarks / 2
 	// gcDelayFlushes and gcMinAge together form the lazy-reclamation
 	// delay of §6.2 (the paper waits n+l µs and requires every pending
 	// reader operation to finish within n µs). The flush-count part ties
@@ -50,10 +52,13 @@ var ErrRootConflict = errors.New("core: shared root moved by a concurrent writer
 var ErrUnitMismatch = errors.New("core: read length does not match written unit")
 
 // ovEntry is one overlay unit: the writer's freshest bytes for an address
-// whose memory logs have not been confirmed replayed yet.
+// whose memory logs have not been confirmed replayed yet. Only a unit
+// some unretired reference still holds (live > 0) is served as an
+// overlay hit; a retired one corrects the bytes of a charged fetch.
 type ovEntry struct {
 	data []byte
 	refs int // flush marks (plus the pending tx) still referencing it
+	live int // the subset of refs from the pending tx and unretired marks
 }
 
 // undoEnt records the overlay bytes one in-window rewrite displaced
@@ -107,8 +112,8 @@ type Handle struct {
 	opArea  logrec.Area
 
 	// Writer-side state (valid when writer is true).
-	writer       bool
-	lockHeld     bool
+	writer   bool
+	lockHeld bool
 	// shared marks the writer lock as contended by other front-ends
 	// (striped structures): acquisition resyncs the log tails from the
 	// durable hints the previous holder left, and release drains so the
@@ -125,10 +130,10 @@ type Handle struct {
 	rootCAS     bool
 	rootCASSlot uint16
 	rootSeen    uint64
-	memTail      uint64
-	opTail       uint64
-	lpnKnown     uint64
-	opnKnown     uint64
+	memTail     uint64
+	opTail      uint64
+	lpnKnown    uint64
+	opnKnown    uint64
 	// Log append-space gates. With the compaction plane, reclaimed space
 	// is bounded by the truncation points, not the replay cursors: the
 	// back-end may have applied a record (LPN past it) without having
@@ -136,24 +141,25 @@ type Handle struct {
 	// Without compaction the back-end advances both in lockstep.
 	memTruncKnown uint64
 	opTruncKnown  uint64
-	pending      []logrec.MemEntry
-	pendingAddrs []uint64
-	coveredOp    uint64
-	opsInTx      int
-	opBuf        []byte
-	opBufAbs     uint64
-	opBufCnt     int
-	asyncOps     []asyncOpFlush
+	pending       []logrec.MemEntry
+	pendingAddrs  []uint64
+	coveredOp     uint64
+	opsInTx       int
+	opBuf         []byte
+	opBufAbs      uint64
+	opBufCnt      int
+	asyncOps      []asyncOpFlush
 	// txBuf is the commit record's reused encode scratch (safe because
 	// every flush path waits its WRs out before the next encode). bufFree
 	// recycles op buffers whose ownership moved to in-flight WRs once
 	// those WRs settle.
 	txBuf   []byte
 	bufFree [][]byte
-	overlay      map[uint64]*ovEntry
-	ovSeq        uint64
-	marks        []flushMark
-	gcList       []gcItem
+	overlay map[uint64]*ovEntry
+	ovSeq   uint64
+	marks   []flushMark
+	retired int // leading marks retired by pruneOverlay
+	gcList  []gcItem
 	// gcTxStart is gcList's length at the last transaction boundary;
 	// aborts truncate back to it, un-scheduling DelayedFrees the rolled
 	// back operations issued against nodes that remain live.
@@ -190,6 +196,9 @@ type Handle struct {
 
 	// Reader-side state.
 	curSN uint64
+
+	// reads is the reused state of PostReadMulti's posted rounds.
+	reads PendingReads
 }
 
 // SetOpGroupCommit enables op-log group commit (stack/queue, §8.1).
@@ -275,27 +284,21 @@ func (h *Handle) cacheOn(cacheable bool) bool {
 // or count as misses.
 func (h *Handle) Read(addr uint64, n int, cacheable bool) ([]byte, error) {
 	fe := h.c.fe
-	if h.writer && h.overlay != nil {
-		if e, ok := h.overlay[addr]; ok {
-			if len(e.data) != n {
-				return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-			}
-			fe.clk.Advance(fe.prof.DRAMAccess)
-			fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-			return append([]byte(nil), e.data...), nil
+	if e, err := h.overlayHit(addr, n); err != nil || e != nil {
+		if err != nil {
+			return nil, err
 		}
+		return append([]byte(nil), e.data...), nil
 	}
 	if fe.cache != nil {
 		if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok {
 			fe.clk.Advance(fe.prof.DRAMAccess)
 			fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-			out := make([]byte, n)
-			if copy(out, b) != n {
-				// Cached under a different unit size; treat as a miss.
-				fe.cache.Invalidate(addr)
-			} else {
-				return out, nil
+			if len(b) >= n {
+				return append([]byte(nil), b[:n]...), nil
 			}
+			// Cached under a different unit size; treat as a miss.
+			fe.cache.Invalidate(addr)
 		}
 	}
 	off, err := h.devOff(addr)
@@ -309,6 +312,7 @@ func (h *Handle) Read(addr uint64, n int, cacheable bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	h.overlayFix(addr, buf)
 	if h.cacheOn(cacheable) {
 		fe.cache.Put(addr, buf, h.tag, h.readEpoch())
 	}
@@ -328,16 +332,12 @@ func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, err
 	var missIdx []int
 	var ops []rdma.ReadOp
 	for i, addr := range addrs {
-		if h.writer && h.overlay != nil {
-			if e, ok := h.overlay[addr]; ok {
-				if len(e.data) != n {
-					return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-				}
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				out[i] = append([]byte(nil), e.data...)
-				continue
+		if e, err := h.overlayHit(addr, n); err != nil || e != nil {
+			if err != nil {
+				return nil, err
 			}
+			out[i] = append([]byte(nil), e.data...)
+			continue
 		}
 		if fe.cache != nil {
 			if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok && len(b) >= n {
@@ -365,12 +365,51 @@ func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, err
 	if err != nil {
 		return nil, err
 	}
+	for _, i := range missIdx {
+		h.overlayFix(addrs[i], out[i])
+	}
 	if h.cacheOn(cacheable) {
 		for _, i := range missIdx {
 			fe.cache.Put(addrs[i], out[i], h.tag, h.readEpoch())
 		}
 	}
 	return out, nil
+}
+
+// overlayHit looks addr up in the writer's overlay. A live unit is an
+// overlay hit, charged as a DRAM access and returned; a retired one is
+// not a hit (nil): the read pays the cache or fetch path like any other,
+// and overlayFix then corrects the fetched bytes.
+func (h *Handle) overlayHit(addr uint64, n int) (*ovEntry, error) {
+	if !h.writer || h.overlay == nil {
+		return nil, nil
+	}
+	e, ok := h.overlay[addr]
+	if !ok {
+		return nil, nil
+	}
+	if len(e.data) != n {
+		return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
+	}
+	if e.live <= 0 {
+		return nil, nil
+	}
+	fe := h.c.fe
+	fe.clk.Advance(fe.prof.DRAMAccess)
+	fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
+	return e, nil
+}
+
+// overlayFix overwrites fetched bytes with a retired overlay unit's: the
+// replayer may not have applied it yet. The cache needs no such fix —
+// writes update cached units in place.
+func (h *Handle) overlayFix(addr uint64, buf []byte) {
+	if !h.writer || h.overlay == nil {
+		return
+	}
+	if e, ok := h.overlay[addr]; ok {
+		copy(buf, e.data)
+	}
 }
 
 // CachePut force-inserts bytes into the DRAM cache under the handle's
@@ -452,8 +491,9 @@ func (h *Handle) write(addr uint64, data []byte, opAbs uint64, srcOff uint32, fr
 		h.undoLog = append(h.undoLog, undoEnt{addr: addr, off: off, len: len(oe.data)})
 		oe.data = append(oe.data[:0], data...)
 		oe.refs++
+		oe.live++
 	} else {
-		h.overlay[addr] = &ovEntry{data: append([]byte(nil), data...), refs: 1}
+		h.overlay[addr] = &ovEntry{data: append([]byte(nil), data...), refs: 1, live: 1}
 	}
 	// Write-through to the cache (Figure 4, step 4).
 	if fe.cache != nil {
@@ -742,7 +782,7 @@ func (h *Handle) finishTx(wireLen int) error {
 	h.flushCnt++
 	h.c.kick()
 
-	if len(h.marks) > pruneMarks {
+	if len(h.marks)-h.retired > pruneMarks {
 		if err := h.pruneOverlay(); err != nil {
 			return err
 		}
@@ -863,30 +903,43 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
-// pruneOverlay drops overlay units whose transactions the replayer has
-// confirmed applied (one LPN read amortized over many flushes).
+// pruneOverlay retires every flush mark but the newest pruneKeep — their
+// units stop counting as overlay hits — and then drops the retired marks
+// the replayer has confirmed applied (one LPN read amortized over many
+// flushes). Retirement follows the op sequence alone, so which reads pay
+// a fetch never depends on how far the replayer goroutine got, and the
+// writer never waits for it: a retired unit that is not applied yet
+// stays in the overlay only to correct the bytes those fetches return.
 func (h *Handle) pruneOverlay() error {
+	keep := len(h.marks) - pruneKeep
+	for _, m := range h.marks[h.retired:keep] {
+		for _, a := range m.addrs {
+			if oe, ok := h.overlay[a]; ok {
+				oe.live--
+			}
+		}
+	}
+	h.retired = keep
 	lpn, err := h.auxField(backend.AuxLPNOff)
 	if err != nil {
 		return err
 	}
 	h.lpnKnown = lpn
-	keep := h.marks[:0]
-	for _, m := range h.marks {
-		if m.endAbs <= lpn {
-			for _, a := range m.addrs {
-				if oe, ok := h.overlay[a]; ok {
-					oe.refs--
-					if oe.refs <= 0 {
-						delete(h.overlay, a)
-					}
+	// Marks are in log order, so the applied ones are a prefix.
+	n := 0
+	for n < h.retired && h.marks[n].endAbs <= lpn {
+		for _, a := range h.marks[n].addrs {
+			if oe, ok := h.overlay[a]; ok {
+				oe.refs--
+				if oe.refs <= 0 {
+					delete(h.overlay, a)
 				}
 			}
-		} else {
-			keep = append(keep, m)
 		}
+		n++
 	}
-	h.marks = keep
+	h.marks = append(h.marks[:0], h.marks[n:]...)
+	h.retired -= n
 	return nil
 }
 
@@ -933,7 +986,7 @@ func (h *Handle) resyncShared() error {
 		h.coveredOp = h.opTail
 	}
 	h.overlay = make(map[uint64]*ovEntry)
-	h.marks = nil
+	h.marks, h.retired = nil, 0
 	if h.c.fe.cache != nil {
 		h.c.fe.cache.InvalidateTag(h.tag)
 	}
@@ -978,6 +1031,7 @@ func (h *Handle) abortOverlay() {
 	for _, a := range h.pendingAddrs {
 		if oe, ok := h.overlay[a]; ok {
 			oe.refs--
+			oe.live--
 			if oe.refs <= 0 {
 				delete(h.overlay, a)
 			}
@@ -1054,7 +1108,7 @@ func (h *Handle) Drain() error {
 		if lpn >= h.memTail {
 			// Everything applied; the overlay is no longer needed.
 			h.overlay = make(map[uint64]*ovEntry)
-			h.marks = nil
+			h.marks, h.retired = nil, 0
 			return nil
 		}
 		if i > pollLimit {

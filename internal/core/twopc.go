@@ -600,7 +600,7 @@ func (h *Handle) finish2PC(aborted bool) {
 	h.opsInTx = 0
 	h.flushCnt++
 	h.hold2pc = false
-	if len(h.marks) > pruneMarks {
+	if len(h.marks)-h.retired > pruneMarks {
 		_ = h.pruneOverlay()
 	}
 	if h.flushCnt%hintEvery == 0 {

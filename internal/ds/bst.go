@@ -91,6 +91,9 @@ type bstNode struct {
 	val              []byte
 }
 
+// decodeNode parses a node image. val aliases buf, which must be the
+// caller's private copy (Handle.Read and ReadMulti return fresh ones);
+// code that keeps a value past the buffer's lifetime copies it out.
 func (t *BST) decodeNode(buf []byte) (bstNode, error) {
 	var n bstNode
 	n.key = binary.LittleEndian.Uint64(buf)
@@ -100,7 +103,7 @@ func (t *BST) decodeNode(buf []byte) (bstNode, error) {
 	if int(vlen) > t.cap {
 		return n, fmt.Errorf("ds: corrupt bst node (vlen=%d)", vlen)
 	}
-	n.val = append([]byte(nil), buf[bstHdr:bstHdr+int(vlen)]...)
+	n.val = buf[bstHdr : bstHdr+int(vlen) : bstHdr+int(vlen)]
 	return n, nil
 }
 

@@ -36,7 +36,7 @@ import (
 type crashCase struct {
 	name  string
 	build func(t *testing.T, c *core.Conn) func() error // create+seed+drain; returns the probe op
-	check func(t *testing.T, c *core.Conn)               // reopen as writer, drain, verify invariants
+	check func(t *testing.T, c *core.Conn)              // reopen as writer, drain, verify invariants
 }
 
 // writeClass reports whether a verb persists state on the back-end.

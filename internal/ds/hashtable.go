@@ -111,6 +111,7 @@ func (t *HashTable) encodeNode(next, key uint64, val []byte) []byte {
 	return buf
 }
 
+// decodeNode parses a node image; val aliases buf (see BST.decodeNode).
 func (t *HashTable) decodeNode(buf []byte) (next, key uint64, val []byte, err error) {
 	next = binary.LittleEndian.Uint64(buf)
 	key = binary.LittleEndian.Uint64(buf[8:])
@@ -118,7 +119,7 @@ func (t *HashTable) decodeNode(buf []byte) (next, key uint64, val []byte, err er
 	if int(vlen) > t.cap {
 		return 0, 0, nil, fmt.Errorf("ds: corrupt hash node (vlen=%d)", vlen)
 	}
-	return next, key, append([]byte(nil), buf[htHdr:htHdr+int(vlen)]...), nil
+	return next, key, buf[htHdr : htHdr+int(vlen) : htHdr+int(vlen)], nil
 }
 
 // Put inserts or updates key.
@@ -223,47 +224,7 @@ func (t *HashTable) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 		for i := range vals {
 			vals[i], found[i] = nil, false
 		}
-		bucketAddrs := make([]uint64, len(keys))
-		for i, k := range keys {
-			bucketAddrs[i] = t.bucketAddr(k)
-		}
-		heads, err := t.h.ReadMulti(bucketAddrs, 8, true)
-		if err != nil {
-			return err
-		}
-		// active chains: position index into keys plus current node addr.
-		var idx []int
-		var addrs []uint64
-		for i, hb := range heads {
-			if n := binary.LittleEndian.Uint64(hb); n != 0 {
-				idx = append(idx, i)
-				addrs = append(addrs, n)
-			}
-		}
-		for len(idx) > 0 {
-			bufs, err := t.h.ReadMulti(addrs, t.nodeSize(), true)
-			if err != nil {
-				return err
-			}
-			var nextIdx []int
-			var nextAddrs []uint64
-			for j, buf := range bufs {
-				next, k, v, err := t.decodeNode(buf)
-				if err != nil {
-					return err
-				}
-				if k == keys[idx[j]] {
-					vals[idx[j]], found[idx[j]] = v, true
-					continue
-				}
-				if next != 0 {
-					nextIdx = append(nextIdx, idx[j])
-					nextAddrs = append(nextAddrs, next)
-				}
-			}
-			idx, addrs = nextIdx, nextAddrs
-		}
-		return nil
+		return runWalker(t.h, t.newGetWalker(keys, vals, found))
 	})
 	if err != nil {
 		return nil, nil, err

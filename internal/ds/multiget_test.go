@@ -2,9 +2,12 @@ package ds
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"asymnvm/internal/backend"
 	"asymnvm/internal/core"
+	"asymnvm/internal/nvm"
 )
 
 // TestHashTableGetMulti checks that the pipelined multi-get returns
@@ -103,5 +106,50 @@ func TestBPTreeScanPipelined(t *testing.T) {
 	// >50 round trips, with depth 16 the blobs cost ~2 groups per leaf.
 	if scanVerbs > 30 {
 		t.Fatalf("pipelined scan paid %d round trips for 50 values, batching is not engaging", scanVerbs)
+	}
+}
+
+// BenchmarkBSTGetMultiLarge looks up 4096-key batches (serve's multi-get
+// ceiling) in one unpartitioned tree, so every round deduplicates
+// thousands of cursors.
+func BenchmarkBSTGetMultiLarge(b *testing.B) {
+	const keys, batch = 16384, 4096
+	bk, err := backend.New(nvm.NewDevice(256<<20), backend.Options{Profile: &zprof})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bk.Start()
+	defer bk.Stop()
+	fe := core.NewFrontend(core.FrontendOptions{ID: 1, Mode: core.ModeRCB(1<<20, 16).WithPipeline(16), Profile: &zprof})
+	c, err := fe.Connect(bk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := CreateBST(c, "large", Options{Create: testCreate, ValueCap: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range rng.Perm(keys) {
+		if err := t.Put(uint64(k+1), val(k+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := t.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	q := make([]uint64, batch)
+	for i := range q {
+		q[i] = uint64(rng.Intn(keys) + 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vals, found, err := t.GetMulti(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !found[0] || !bytes.Equal(vals[0], val(int(q[0]))) {
+			b.Fatalf("key %d: got %q", q[0], vals[0])
+		}
 	}
 }

@@ -15,6 +15,11 @@ import (
 // of the structure's own batched or sequential lookup, so caching and
 // virtual-clock charges stay identical between the two drivers.
 
+// A round's buffers are valid only until the walker's next round: under
+// Partitioned.GetMulti they alias the handle's reused result arena. Node
+// decoding aliases them too, so absorb copies out exactly the values
+// that match a key and nothing else.
+
 // fetchReq is one fetch round: all addrs are read at the same unit size
 // and cacheability.
 type fetchReq struct {
@@ -76,7 +81,7 @@ type htWalker struct {
 	vals  [][]byte
 	found []bool
 	idx   []int    // active chains: position in keys
-	addrs []uint64 // active chains: current node address
+	addrs []uint64 // bucket addresses, then active chains' node addresses
 	phase int      // 0 = heads round pending, 1 = chain rounds
 }
 
@@ -88,11 +93,10 @@ func (t *HashTable) readValidate() bool { return true }
 
 func (w *htWalker) next() (fetchReq, bool) {
 	if w.phase == 0 {
-		bucketAddrs := make([]uint64, len(w.keys))
-		for i, k := range w.keys {
-			bucketAddrs[i] = w.t.bucketAddr(k)
+		for _, k := range w.keys {
+			w.addrs = append(w.addrs, w.t.bucketAddr(k))
 		}
-		return fetchReq{addrs: bucketAddrs, unit: 8, cacheable: true}, true
+		return fetchReq{addrs: w.addrs, unit: 8, cacheable: true}, true
 	}
 	if len(w.idx) == 0 {
 		return fetchReq{}, false
@@ -100,34 +104,38 @@ func (w *htWalker) next() (fetchReq, bool) {
 	return fetchReq{addrs: w.addrs, unit: w.t.nodeSize(), cacheable: true}, true
 }
 
+// absorb advances the chains in place: chain j's slot is never behind
+// its read position, so the survivors compact to the front.
 func (w *htWalker) absorb(bufs [][]byte) error {
+	live := 0
 	if w.phase == 0 {
 		w.phase = 1
 		for i, hb := range bufs {
 			if n := binary.LittleEndian.Uint64(hb); n != 0 {
 				w.idx = append(w.idx, i)
-				w.addrs = append(w.addrs, n)
+				w.addrs[live] = n
+				live++
 			}
 		}
+		w.addrs = w.addrs[:live]
 		return nil
 	}
-	var nextIdx []int
-	var nextAddrs []uint64
 	for j, buf := range bufs {
 		next, k, v, err := w.t.decodeNode(buf)
 		if err != nil {
 			return err
 		}
-		if k == w.keys[w.idx[j]] {
-			w.vals[w.idx[j]], w.found[w.idx[j]] = v, true
+		i := w.idx[j]
+		if k == w.keys[i] {
+			w.vals[i], w.found[i] = append([]byte(nil), v...), true
 			continue
 		}
 		if next != 0 {
-			nextIdx = append(nextIdx, w.idx[j])
-			nextAddrs = append(nextAddrs, next)
+			w.idx[live], w.addrs[live] = i, next
+			live++
 		}
 	}
-	w.idx, w.addrs = nextIdx, nextAddrs
+	w.idx, w.addrs = w.idx[:live], w.addrs[:live]
 	return nil
 }
 
@@ -267,6 +275,7 @@ func (s *SkipList) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 // bstCursor is one key's descent position.
 type bstCursor struct {
 	cur  uint64
+	at   int // index of cur in the pending round
 	done bool
 }
 
@@ -280,8 +289,10 @@ type bstWalker struct {
 	vals  [][]byte
 	found []bool
 	curs  []bstCursor
-	addrs []uint64 // deduplicated addresses of the pending round
-	depth int      // -1 = root pointer round pending
+	addrs []uint64       // deduplicated addresses of the pending round
+	at    map[uint64]int // address -> its index in addrs
+	nodes []bstNode      // the round's decoded images, index-matched to addrs
+	depth int            // -1 = root pointer round pending
 }
 
 func (t *BST) newGetWalker(keys []uint64, vals [][]byte, found []bool) getWalker {
@@ -293,17 +304,29 @@ func (t *BST) readValidate() bool { return true }
 
 func (w *bstWalker) next() (fetchReq, bool) {
 	if w.depth < 0 {
-		return fetchReq{addrs: []uint64{w.t.h.RootAddr()}, unit: 8, cacheable: true}, true
+		w.addrs = append(w.addrs[:0], w.t.h.RootAddr())
+		return fetchReq{addrs: w.addrs, unit: 8, cacheable: true}, true
 	}
-	seen := make(map[uint64]bool)
+	// First-need order, deduplicated through a set the walker keeps
+	// across rounds.
+	if w.at == nil {
+		w.at = make(map[uint64]int, len(w.curs))
+	} else {
+		clear(w.at)
+	}
 	w.addrs = w.addrs[:0]
 	for i := range w.curs {
 		c := &w.curs[i]
-		if c.done || seen[c.cur] {
+		if c.done {
 			continue
 		}
-		seen[c.cur] = true
-		w.addrs = append(w.addrs, c.cur)
+		j, ok := w.at[c.cur]
+		if !ok {
+			j = len(w.addrs)
+			w.at[c.cur] = j
+			w.addrs = append(w.addrs, c.cur)
+		}
+		c.at = j
 	}
 	if len(w.addrs) == 0 {
 		return fetchReq{}, false
@@ -324,24 +347,24 @@ func (w *bstWalker) absorb(bufs [][]byte) error {
 		}
 		return nil
 	}
-	nodes := make(map[uint64]bstNode, len(bufs))
-	for j, buf := range bufs {
+	w.nodes = w.nodes[:0]
+	for _, buf := range bufs {
 		n, err := w.t.decodeNode(buf)
 		if err != nil {
 			return err
 		}
-		nodes[w.addrs[j]] = n
+		w.nodes = append(w.nodes, n)
 	}
 	for i := range w.curs {
 		c := &w.curs[i]
 		if c.done {
 			continue
 		}
-		n := nodes[c.cur]
+		n := &w.nodes[c.at]
 		key := w.keys[i]
 		switch {
 		case key == n.key:
-			w.vals[i], w.found[i] = n.val, true
+			w.vals[i], w.found[i] = append([]byte(nil), n.val...), true
 			c.done = true
 		case key < n.key:
 			if n.left == 0 {
