@@ -24,10 +24,11 @@ type MirrorSink interface {
 	// WantsRaw reports whether the sink keeps a byte-identical replica
 	// (an NVM-equipped mirror). Raw forwards carry device ranges.
 	WantsRaw() bool
-	// MirrorWrite applies a raw device range to the replica.
+	// MirrorWrite applies a raw device range to the replica. data may
+	// alias a buffer the replayer reuses: it is valid only during the call.
 	MirrorWrite(devOff uint64, data []byte) error
 	// MirrorOp archives one encoded operation-log record (the semantic
-	// stream kept by SSD/disk mirrors).
+	// stream kept by SSD/disk mirrors). rec is the sink's to keep.
 	MirrorOp(slot uint16, rec []byte) error
 	// MirrorKick signals that new replicated data is available.
 	MirrorKick()
@@ -106,6 +107,8 @@ type Backend struct {
 	opScratch  logrec.OpRecord
 	cmtScratch logrec.CommitRecord
 	decArena   arena.Arena
+	scanBuf    []byte // log scan chunk for replaySlot and archiveOps
+	fwdBuf     []byte // one record's extent on its way to the mirrors
 
 	// resolver consults a coordinator log for in-doubt prepares during
 	// recovery (see twopc.go); nil leaves them held.

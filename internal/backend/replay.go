@@ -3,6 +3,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"asymnvm/internal/alloc"
 	"asymnvm/internal/logrec"
@@ -224,9 +225,10 @@ func (b *Backend) replayAll() {
 }
 
 // readArea reads n logical bytes starting at abs from a circular area,
-// splitting around the wrap point.
-func (b *Backend) readArea(area logrec.Area, abs uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
+// splitting around the wrap point. The bytes land in dst's backing array
+// when it has room for them (pass nil for a fresh slice).
+func (b *Backend) readArea(dst []byte, area logrec.Area, abs uint64, n int) ([]byte, error) {
+	out := slices.Grow(dst[:0], n)[:n]
 	pos := 0
 	for _, r := range area.Split(abs, n) {
 		if err := b.dev.ReadAt(r.DevOff, out[pos:pos+r.Len]); err != nil {
@@ -251,10 +253,15 @@ func (b *Backend) replaySlot(ds *dsReplay) (SlotStatus, error) {
 			n = int(ds.memArea.Size)
 		}
 		lpn := ds.lpn.Load()
-		buf, err := b.readArea(ds.memArea, lpn, n)
-		if err != nil {
+		var err error
+		if b.scanBuf, err = b.readArea(b.scanBuf, ds.memArea, lpn, n); err != nil {
 			return status, err
 		}
+		// Every decoder below copies what it keeps (DecodeTxInto into
+		// the arena, a held prepare's values onto the heap), and applyTx
+		// forwards freshly read bytes, so the scan buffer is dead once
+		// the chunk is consumed.
+		buf := b.scanBuf
 		pos := 0
 		progressed := false
 		for {
@@ -348,11 +355,11 @@ func (b *Backend) applyTx(ds *dsReplay, rec *logrec.TxRecord, newLPN uint64) err
 // the device, split around the circular wrap) to replica mirrors.
 func (b *Backend) forwardExtent(area logrec.Area, abs uint64, n int) error {
 	for _, r := range area.Split(abs, n) {
-		chunk := make([]byte, r.Len)
-		if err := b.dev.ReadAt(r.DevOff, chunk); err != nil {
+		b.fwdBuf = slices.Grow(b.fwdBuf[:0], r.Len)[:r.Len]
+		if err := b.dev.ReadAt(r.DevOff, b.fwdBuf); err != nil {
 			return err
 		}
-		b.forwardRaw(r.DevOff, chunk)
+		b.forwardRaw(r.DevOff, b.fwdBuf)
 	}
 	return nil
 }
@@ -373,7 +380,7 @@ func (b *Backend) applyEntries(ds *dsReplay, entries []logrec.MemEntry) error {
 		e := &entries[i]
 		val := e.Value
 		if e.Flag == logrec.FlagOpRef {
-			val, err = b.readArea(ds.opArea, e.OpAbs+logrec.ParamsWireOff+uint64(e.SrcOff), int(e.Len))
+			val, err = b.readArea(nil, ds.opArea, e.OpAbs+logrec.ParamsWireOff+uint64(e.SrcOff), int(e.Len))
 			if err != nil {
 				return err
 			}
@@ -483,11 +490,14 @@ func (b *Backend) archiveOps(ds *dsReplay) {
 		if uint64(n) > ds.opArea.Size {
 			n = int(ds.opArea.Size)
 		}
-		buf, err := b.readArea(ds.opArea, ds.opSeen, n)
-		if err != nil {
+		var err error
+		if b.scanBuf, err = b.readArea(b.scanBuf, ds.opArea, ds.opSeen, n); err != nil {
 			b.setErr(err)
 			return
 		}
+		// Sinks copy what they keep (MirrorSink), so the forwards below
+		// may alias the scan buffer.
+		buf := b.scanBuf
 		pos := 0
 		progressed := false
 		for {
@@ -554,7 +564,7 @@ func (b *Backend) PendingOps(slot uint16) ([]logrec.OpRecord, error) {
 		if uint64(n) > ds.opArea.Size {
 			n = int(ds.opArea.Size)
 		}
-		buf, err := b.readArea(ds.opArea, abs, n)
+		buf, err := b.readArea(nil, ds.opArea, abs, n)
 		if err != nil {
 			return nil, err
 		}

@@ -158,6 +158,10 @@ type Report struct {
 	Violations int    // invariant checks failed
 	Digest     uint64 // fault event log digest
 	Stats      stats.Snapshot
+	// MappedBytes is the host memory every simulated device in the
+	// cluster holds at soak end. It depends on scheduling (replayer and
+	// mirror progress), so it stays out of Lines.
+	MappedBytes int
 }
 
 // String renders the report.
@@ -569,6 +573,7 @@ func Run(cfg Config) (*Report, error) {
 		s.rep.Stats.OpLogs, s.rep.Stats.MemLogs, s.rep.Stats.TxCommits,
 		s.rep.Stats.Allocs, s.rep.Stats.VerbRetries, s.rep.Stats.Failovers)
 	s.line("checks=%d violations=%d", s.rep.Checks, s.rep.Violations)
+	s.rep.MappedBytes = clu.MappedBytes()
 	return s.rep, nil
 }
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func smallConfig(seed int64) Config {
@@ -35,6 +36,21 @@ func TestSoakInvariantsHold(t *testing.T) {
 	}
 	if rep.Stats.VerbRetries == 0 {
 		t.Fatal("verb faults were injected but nothing was retried")
+	}
+}
+
+// TestSoakMappedBytesCeiling bounds the host memory a soak's simulated
+// devices hold: a back-end, two replicas and an archive of 256 MiB each,
+// of which the soak writes about 144 KiB. Device memory must follow the
+// bytes written, not the capacity (the ceiling leaves under 2x headroom).
+func TestSoakMappedBytesCeiling(t *testing.T) {
+	rep, err := Run(smallConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 256 << 10
+	if rep.MappedBytes == 0 || rep.MappedBytes > ceiling {
+		t.Fatalf("soak devices map %d bytes, want (0, %d]", rep.MappedBytes, ceiling)
 	}
 }
 
@@ -341,6 +357,40 @@ func TestRebalanceModeExclusions(t *testing.T) {
 		tweak(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("invalid rebalance combination accepted: %+v", cfg)
+		}
+	}
+}
+
+// TestMultiWriterSoakTerminates repeats the short striped-writer soak
+// that used to livelock in SyncMirrors: a crash-restart re-seeded the
+// replicas while the replaced replicas' replayers were still running, so
+// a stale kick could re-apply transactions on the mirror and leave its
+// seqlock ahead of the primary's forever. Each run must finish, clean,
+// within the deadline.
+func TestMultiWriterSoakTerminates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Ops = 7, 60
+	cfg.MultiWriter, cfg.Promotes = true, 0
+	for i := 0; i < 4; i++ {
+		type result struct {
+			rep *Report
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			rep, err := Run(cfg)
+			done <- result{rep, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.rep.Violations != 0 {
+				t.Fatalf("run %d: %d violations:\n%s", i, r.rep.Violations, r.rep.String())
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("run %d: multi-writer soak still running after 60s (mirror sync livelock)", i)
 		}
 	}
 }

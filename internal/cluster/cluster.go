@@ -387,6 +387,28 @@ func (c *Cluster) enableResilience(feID uint16, slot int, conn *core.Conn) {
 // Device exposes a back-end's NVM device for crash injection.
 func (c *Cluster) Device(backendID int) *nvm.Device { return c.devs[backendID] }
 
+// MappedBytes reports the host memory held by every device image in the
+// deployment — back-ends, replicas and archives — as nvm.Device counts it.
+func (c *Cluster) MappedBytes() int {
+	c.foMu.Lock()
+	defer c.foMu.Unlock()
+	total := 0
+	c.devMu.Lock()
+	for _, d := range c.devs {
+		total += d.MappedBytes()
+	}
+	c.devMu.Unlock()
+	for _, reps := range c.Mirrors {
+		for _, r := range reps {
+			total += r.Device().MappedBytes()
+		}
+	}
+	for _, a := range c.Archives {
+		total += a.Device().MappedBytes()
+	}
+	return total
+}
+
 // ---- recovery orchestration (§7.2) ----
 
 // archiveFor returns the archive sink whose current home is the given
@@ -466,9 +488,13 @@ func (c *Cluster) RestartBackend(backendID int, powerFail bool) (*backend.Backen
 	// deployment time), then the archive: its op cursor resumes at the
 	// replayer's applied point, everything earlier was archived before
 	// the stop drain.
-	for m := range c.Mirrors[backendID] {
-		mdev := c.Mirrors[backendID][m].Device()
-		rep, err := mirror.NewReplica(mdev, bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
+	for m, old := range c.Mirrors[backendID] {
+		// The replaced replica's replayer must be gone before the re-sync:
+		// left running, a pending kick lets it replay the fresh image from
+		// its stale in-memory cursors, applying transactions a second time
+		// and leaving the mirror's seqlock ahead of the primary's.
+		old.Stop()
+		rep, err := mirror.NewReplica(old.Device(), bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -518,9 +544,9 @@ func (c *Cluster) promoteLocked(backendID, mirrorIdx int) (*backend.Backend, err
 		return nil, err
 	}
 	c.Mirrors[backendID] = append(c.Mirrors[backendID][:mirrorIdx], c.Mirrors[backendID][mirrorIdx+1:]...)
-	for m := range c.Mirrors[backendID] {
-		mdev := c.Mirrors[backendID][m].Device()
-		nrep, err := mirror.NewReplica(mdev, bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
+	for m, old := range c.Mirrors[backendID] {
+		old.Stop() // as in RestartBackend: no stale replayer may outlive the re-sync
+		nrep, err := mirror.NewReplica(old.Device(), bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
 		if err != nil {
 			return nil, err
 		}

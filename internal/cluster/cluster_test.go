@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"asymnvm/internal/clock"
 	"asymnvm/internal/core"
 	"asymnvm/internal/ds"
 	"asymnvm/internal/logrec"
+	"asymnvm/internal/mirror"
 )
 
 var zprof = clock.ZeroProfile()
@@ -275,4 +277,52 @@ func TestFrontendWriterCrashRecovery(t *testing.T) {
 	if !ok || string(v) != "one" {
 		t.Fatalf("baseline lost: %q", v)
 	}
+}
+
+// TestReplacedReplicasStop: restart and promotion re-seed every surviving
+// replica device and attach a fresh replica to it. The replica being
+// replaced must be stopped first — a leftover replayer woken by a stale
+// kick replays the fresh image from its old cursors, pushing the mirror's
+// seqlock ahead of the primary's, and SyncMirrors then waits forever.
+func TestReplacedReplicasStop(t *testing.T) {
+	cl := smallCluster(t, Config{Backends: 1, MirrorsPerBack: 3})
+	_, conns, err := cl.NewFrontend(1, core.ModeR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht, err := ds.CreateHashTable(conns[0], "ht", dsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		_ = ht.Put(uint64(i), []byte{byte(i)})
+	}
+	if err := ht.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkReplaced := func(step string, old []*mirror.Replica) {
+		t.Helper()
+		for i, r := range old {
+			if r.Backend().Alive() {
+				t.Fatalf("%s: replaced replica %d still runs its replayer", step, i)
+			}
+		}
+		done := make(chan struct{})
+		go func() { cl.SyncMirrors(0); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: SyncMirrors did not converge", step)
+		}
+	}
+	old := append([]*mirror.Replica(nil), cl.Mirrors[0]...)
+	if _, _, err := cl.RestartBackend(0, true); err != nil {
+		t.Fatal(err)
+	}
+	checkReplaced("restart", old)
+	old = append([]*mirror.Replica(nil), cl.Mirrors[0][1:]...)
+	if _, err := cl.PromoteMirror(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkReplaced("promotion", old)
 }

@@ -35,16 +35,12 @@ type Replica struct {
 }
 
 // NewReplica attaches a replica mirror to primary: the mirror device is
-// synchronized with a full copy of the primary device (the initial sync a
-// real deployment performs once at attach time), an internal replayer is
+// synchronized with a copy of the primary device's written pages (the
+// initial sync a real deployment performs once at attach time), an internal replayer is
 // started, and the mirror registers itself as a sink on the primary.
 func NewReplica(dev *nvm.Device, primary *backend.Backend, opts backend.Options) (*Replica, error) {
-	img := primary.Device().Snapshot()
-	if dev.Size() != uint64(len(img)) {
-		return nil, fmt.Errorf("mirror: replica device %d bytes, primary %d", dev.Size(), len(img))
-	}
-	if err := dev.Restore(img); err != nil {
-		return nil, err
+	if err := dev.CopyFrom(primary.Device()); err != nil {
+		return nil, fmt.Errorf("mirror: seed replica: %w", err)
 	}
 	// The internal replayer impersonates the primary's node id so global
 	// addresses inside replicated logs stay valid.
@@ -154,6 +150,9 @@ func NewArchive(dev *nvm.Device, primary *backend.Backend, clk clock.Clock, st *
 	}
 	return a, nil
 }
+
+// Device exposes the archive's device.
+func (a *Archive) Device() *nvm.Device { return a.dev }
 
 // SetTracer installs (or clears) the archive actor's tracer.
 func (a *Archive) SetTracer(tr *trace.ActorTracer) {

@@ -206,3 +206,32 @@ func TestArchiveSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopened archive has %d ops, want 2", len(ops))
 	}
 }
+
+// TestReplicaSeedMapsNoMoreThanPrimary: seeding copies only the pages
+// the primary has written, so a replica's device never holds more host
+// memory than its primary's — whether the primary is fresh or populated.
+func TestReplicaSeedMapsNoMoreThanPrimary(t *testing.T) {
+	bk, dev := newPrimary(t)
+	rdev := nvm.NewDevice(int(dev.Size()))
+	rep, err := NewReplica(rdev, bk, backend.Options{Profile: &prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rdev.MappedBytes(), dev.MappedBytes(); got > want || want == 0 {
+		t.Fatalf("fresh primary maps %d bytes, its replica %d", want, got)
+	}
+	rep.Stop()
+
+	bk.Start()
+	defer bk.Stop()
+	writeOps(t, bk, "seeded", []byte{1, 2, 3})
+	rdev2 := nvm.NewDevice(int(dev.Size()))
+	rep2, err := NewReplica(rdev2, bk, backend.Options{Profile: &prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep2.Stop()
+	if got, want := rdev2.MappedBytes(), dev.MappedBytes(); got > want || got > 64*nvm.PageSize {
+		t.Fatalf("populated primary maps %d bytes, its replica %d", want, got)
+	}
+}

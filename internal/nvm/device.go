@@ -11,12 +11,17 @@
 //     volatile window and may be lost — possibly partially, at a 64-byte
 //     line granularity — when power fails. This is what forces the
 //     framework to checksum transaction logs and validate them on restart.
+//
+// The device image is sparse: host memory follows the bytes a workload
+// has written, not the simulated capacity.
 package nvm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -24,13 +29,24 @@ import (
 // Optane persists data in units no smaller than a cache line.
 const LineSize = 64
 
+// PageSize is the host-memory granularity of the device image. A page is
+// allocated on its first non-zero write; until then it reads as zeros.
+const PageSize = 4096
+
+const pageMask = PageSize - 1
+
 // ErrOutOfRange is returned for accesses beyond the device capacity.
 var ErrOutOfRange = errors.New("nvm: access out of range")
 
-// pending records the undo image of one not-yet-persisted write.
+// zeroPage backs reads of unmapped pages and the all-zero test of writes.
+var zeroPage [PageSize]byte
+
+// pending records one not-yet-persisted write: its range and where its
+// undo image (the previous contents) sits in the device's undo log.
 type pending struct {
 	off uint64
-	old []byte // previous contents, for revert on power failure
+	at  int // undo-log offset of the previous contents
+	n   int
 }
 
 // Device is a simulated NVM DIMM: a flat byte space with explicit
@@ -42,25 +58,109 @@ type pending struct {
 // boundary. All methods are safe for concurrent use.
 type Device struct {
 	mu      sync.RWMutex
-	data    []byte
+	size    uint64
+	pages   []*[PageSize]byte // nil: never written non-zero, reads as zeros
+	mapped  int
 	pend    []pending
+	undo    []byte // undo images of pend, back to back
 	crashes int
 }
 
 // NewDevice creates a device with the given capacity in bytes, zero-filled.
+// Only the page table is allocated up front.
 func NewDevice(size int) *Device {
-	return &Device{data: make([]byte, size)}
+	return &Device{size: uint64(size), pages: make([]*[PageSize]byte, (size+pageMask)/PageSize)}
 }
 
 // Size reports the device capacity in bytes.
-func (d *Device) Size() uint64 { return uint64(len(d.data)) }
+func (d *Device) Size() uint64 { return d.size }
+
+// MappedBytes reports the host memory held by the device image: the
+// number of pages written non-zero so far, times PageSize.
+func (d *Device) MappedBytes() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.mapped * PageSize
+}
 
 // check validates an access range.
 func (d *Device) check(off uint64, n int) error {
-	if n < 0 || off > uint64(len(d.data)) || uint64(n) > uint64(len(d.data))-off {
-		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	if n < 0 || off > d.size || uint64(n) > d.size-off {
+		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, d.size)
 	}
 	return nil
+}
+
+// read copies the image at off into buf; the range is already checked.
+func (d *Device) read(off uint64, buf []byte) {
+	for len(buf) > 0 {
+		po := int(off & pageMask)
+		var n int
+		if p := d.pages[off/PageSize]; p != nil {
+			n = copy(buf, p[po:])
+		} else {
+			n = copy(buf, zeroPage[po:])
+		}
+		buf = buf[n:]
+		off += uint64(n)
+	}
+}
+
+// write stores data at off without touching the persistence window. A
+// chunk of zeros aimed at an unmapped page maps nothing.
+func (d *Device) write(off uint64, data []byte) {
+	for len(data) > 0 {
+		po := int(off & pageMask)
+		n := min(len(data), PageSize-po)
+		chunk := data[:n]
+		pi := off / PageSize
+		p := d.pages[pi]
+		if p == nil {
+			if bytes.Equal(chunk, zeroPage[:n]) {
+				data = data[n:]
+				off += uint64(n)
+				continue
+			}
+			p = new([PageSize]byte)
+			d.pages[pi] = p
+			d.mapped++
+		}
+		copy(p[po:], chunk)
+		data = data[n:]
+		off += uint64(n)
+	}
+}
+
+// word returns the page slice holding the 8 bytes at off when they sit in
+// one mapped page, else nil.
+func (d *Device) word(off uint64) []byte {
+	po := off & pageMask
+	if po > PageSize-8 {
+		return nil
+	}
+	if p := d.pages[off/PageSize]; p != nil {
+		return p[po : po+8]
+	}
+	return nil
+}
+
+func (d *Device) load64(off uint64) uint64 {
+	if w := d.word(off); w != nil {
+		return le64(w)
+	}
+	var b [8]byte
+	d.read(off, b[:])
+	return le64(b[:])
+}
+
+func (d *Device) store64(off uint64, v uint64) {
+	if w := d.word(off); w != nil {
+		putLE64(w, v)
+		return
+	}
+	var b [8]byte
+	putLE64(b[:], v)
+	d.write(off, b[:])
 }
 
 // ReadAt copies len(buf) bytes starting at off into buf. It always returns
@@ -71,7 +171,15 @@ func (d *Device) ReadAt(off uint64, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, d.data[off:])
+	if po := off & pageMask; po+uint64(len(buf)) <= PageSize {
+		if p := d.pages[off/PageSize]; p != nil {
+			copy(buf, p[po:])
+		} else {
+			clear(buf)
+		}
+		return nil
+	}
+	d.read(off, buf)
 	return nil
 }
 
@@ -80,17 +188,23 @@ func (d *Device) ReadAt(off uint64, buf []byte) error {
 func (d *Device) WriteAt(off uint64, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.writeLocked(off, data)
-}
-
-func (d *Device) writeLocked(off uint64, data []byte) error {
 	if err := d.check(off, len(data)); err != nil {
 		return err
 	}
-	old := make([]byte, len(data))
-	copy(old, d.data[off:])
-	d.pend = append(d.pend, pending{off: off, old: old})
-	copy(d.data[off:], data)
+	at := len(d.undo)
+	d.undo = slices.Grow(d.undo, len(data))[:at+len(data)]
+	old := d.undo[at:] // filled below from the current image
+	if po := off & pageMask; po+uint64(len(data)) <= PageSize {
+		if p := d.pages[off/PageSize]; p != nil {
+			copy(old, p[po:])
+			copy(p[po:], data)
+			d.pend = append(d.pend, pending{off: off, at: at, n: len(data)})
+			return nil
+		}
+	}
+	d.read(off, old)
+	d.pend = append(d.pend, pending{off: off, at: at, n: len(data)})
+	d.write(off, data)
 	return nil
 }
 
@@ -105,7 +219,7 @@ func (d *Device) WritePersist(off uint64, data []byte) error {
 	if err := d.check(off, len(data)); err != nil {
 		return err
 	}
-	copy(d.data[off:], data)
+	d.write(off, data)
 	d.sealRange(off, len(data))
 	return nil
 }
@@ -114,8 +228,15 @@ func (d *Device) WritePersist(off uint64, data []byte) error {
 // durable and can no longer be lost by Crash.
 func (d *Device) PersistAll() {
 	d.mu.Lock()
-	d.pend = d.pend[:0]
+	d.resetWindow()
 	d.mu.Unlock()
+}
+
+// resetWindow empties the persistence window, keeping the undo log's
+// capacity for the next one.
+func (d *Device) resetWindow() {
+	d.pend = d.pend[:0]
+	d.undo = d.undo[:0]
 }
 
 // PendingWrites reports how many writes are still in the volatile window.
@@ -139,7 +260,7 @@ func (d *Device) VolatileBytes(off uint64, n int) int {
 	covered := make([]bool, n)
 	total := 0
 	for _, p := range d.pend {
-		lo, hi := p.off, p.off+uint64(len(p.old))
+		lo, hi := p.off, p.off+uint64(p.n)
 		if hi <= off || lo >= off+uint64(n) {
 			continue
 		}
@@ -188,39 +309,48 @@ func (d *Device) Crash(rng *rand.Rand) int {
 	// Revert newest-first so overlapping writes unwind correctly.
 	for i := n - 1; i >= n-lose; i-- {
 		p := d.pend[i]
-		if tear && i == n-lose && len(p.old) > LineSize {
+		old := d.undo[p.at : p.at+p.n]
+		if tear && i == n-lose && p.n > LineSize {
 			// Tear: a prefix of whole lines of the new data survives.
-			keep := (rng.Intn(len(p.old)/LineSize + 1)) * LineSize
-			copy(d.data[p.off+uint64(keep):], p.old[keep:])
+			keep := (rng.Intn(p.n/LineSize + 1)) * LineSize
+			d.write(p.off+uint64(keep), old[keep:])
 			continue
 		}
-		copy(d.data[p.off:], p.old)
+		d.write(p.off, old)
 	}
-	d.pend = d.pend[:0]
+	d.resetWindow()
 	return lose
 }
 
-// Snapshot returns a copy of the full device contents (persisted view is
-// not distinguished; callers wanting the durable image should PersistAll
-// or Crash first).
-func (d *Device) Snapshot() []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]byte, len(d.data))
-	copy(out, d.data)
-	return out
-}
-
-// Restore overwrites the device contents with img (which must match the
-// capacity) and clears the persistence window.
-func (d *Device) Restore(img []byte) error {
+// CopyFrom makes d's image byte-identical to src's and clears d's
+// persistence window (src's unpersisted writes arrive as durable bytes).
+// Only src's mapped pages are copied; d's other pages are dropped. Both
+// devices must have the same capacity. Mirror seeding uses it as the
+// initial full sync a real deployment performs once at attach time.
+func (d *Device) CopyFrom(src *Device) error {
+	if d == src {
+		return nil
+	}
+	src.mu.RLock()
+	defer src.mu.RUnlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("nvm: restore size %d != capacity %d", len(img), len(d.data))
+	if d.size != src.size {
+		return fmt.Errorf("nvm: copy from a %d-byte device onto %d bytes", src.size, d.size)
 	}
-	copy(d.data, img)
-	d.pend = d.pend[:0]
+	for i, sp := range src.pages {
+		switch dp := d.pages[i]; {
+		case sp == nil:
+			d.pages[i] = nil
+		case dp == nil:
+			np := *sp
+			d.pages[i] = &np
+		default:
+			*dp = *sp
+		}
+	}
+	d.mapped = src.mapped
+	d.resetWindow()
 	return nil
 }
 
@@ -230,30 +360,16 @@ func (d *Device) Restore(img []byte) error {
 // the same lines are still volatile.
 func (d *Device) sealRange(off uint64, n int) {
 	end := off + uint64(n)
-	for i := range d.pend {
-		p := &d.pend[i]
-		pEnd := p.off + uint64(len(p.old))
+	for _, p := range d.pend {
+		pEnd := p.off + uint64(p.n)
 		if p.off >= end || pEnd <= off {
 			continue
 		}
-		lo := max64(p.off, off)
-		hi := min64(pEnd, end)
-		copy(p.old[lo-p.off:hi-p.off], d.data[lo:hi])
+		lo := max(p.off, off)
+		hi := min(pEnd, end)
+		at := p.at + int(lo-p.off)
+		d.read(lo, d.undo[at:at+int(hi-lo)])
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CompareAndSwap64 atomically (under the device lock) compares the 8 bytes
@@ -267,11 +383,11 @@ func (d *Device) CompareAndSwap64(off uint64, old, new uint64) (uint64, bool, er
 	if err := d.check(off, 8); err != nil {
 		return 0, false, err
 	}
-	cur := le64(d.data[off:])
+	cur := d.load64(off)
 	if cur != old {
 		return cur, false, nil
 	}
-	putLE64(d.data[off:], new)
+	d.store64(off, new)
 	d.sealRange(off, 8)
 	return cur, true, nil
 }
@@ -284,8 +400,8 @@ func (d *Device) FetchAdd64(off uint64, delta uint64) (uint64, error) {
 	if err := d.check(off, 8); err != nil {
 		return 0, err
 	}
-	cur := le64(d.data[off:])
-	putLE64(d.data[off:], cur+delta)
+	cur := d.load64(off)
+	d.store64(off, cur+delta)
 	d.sealRange(off, 8)
 	return cur, nil
 }
@@ -297,7 +413,7 @@ func (d *Device) Load64(off uint64) (uint64, error) {
 	if err := d.check(off, 8); err != nil {
 		return 0, err
 	}
-	return le64(d.data[off:]), nil
+	return d.load64(off), nil
 }
 
 // Store64 atomically writes v at off, durable immediately.
@@ -307,7 +423,7 @@ func (d *Device) Store64(off uint64, v uint64) error {
 	if err := d.check(off, 8); err != nil {
 		return err
 	}
-	putLE64(d.data[off:], v)
+	d.store64(off, v)
 	d.sealRange(off, 8)
 	return nil
 }

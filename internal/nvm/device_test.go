@@ -70,12 +70,11 @@ func TestPersistAllSurvivesCrash(t *testing.T) {
 }
 
 func TestCrashTearIsLineAligned(t *testing.T) {
-	d := NewDevice(1024)
 	// A 4-line write, never persisted; crash many times and check the
 	// surviving prefix is always a whole number of lines.
 	fresh := bytes.Repeat([]byte{0xAB}, 4*LineSize)
 	for seed := int64(0); seed < 50; seed++ {
-		_ = d.Restore(make([]byte, 1024))
+		d := NewDevice(1024)
 		_ = d.WriteAt(0, fresh)
 		d.Crash(rand.New(rand.NewSource(seed)))
 		buf := make([]byte, 4*LineSize)
@@ -150,21 +149,31 @@ func TestFetchAdd(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	d := NewDevice(128)
-	_ = d.WritePersist(0, []byte("state-one"))
-	img := d.Snapshot()
-	_ = d.WritePersist(0, []byte("state-two"))
-	if err := d.Restore(img); err != nil {
+func TestCopyFrom(t *testing.T) {
+	src, dst := NewDevice(3*PageSize), NewDevice(3*PageSize)
+	_ = src.WritePersist(0, []byte("state-one"))
+	_ = src.WriteAt(2*PageSize+10, []byte("volatile")) // arrives durable
+	_ = dst.WritePersist(PageSize, []byte("stale"))    // dropped: unmapped on src
+	_ = dst.WriteAt(0, []byte("pending"))
+	if err := dst.CopyFrom(src); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 9)
-	_ = d.ReadAt(0, buf)
-	if string(buf) != "state-one" {
-		t.Fatalf("restore got %q", buf)
+	if !bytes.Equal(image(dst), image(src)) {
+		t.Fatal("copied image differs from the source")
 	}
-	if err := d.Restore(make([]byte, 5)); err == nil {
-		t.Fatal("restore with wrong size must fail")
+	if dst.PendingWrites() != 0 || dst.MappedBytes() != src.MappedBytes() {
+		t.Fatalf("after copy: pending=%d mapped=%d, want 0 and %d", dst.PendingWrites(), dst.MappedBytes(), src.MappedBytes())
+	}
+	dst.Crash(nil)
+	if buf := image(dst); string(buf[2*PageSize+10:][:8]) != "volatile" {
+		t.Fatalf("copied bytes lost on crash: %q", buf[2*PageSize+10:][:8])
+	}
+	_ = dst.WritePersist(0, []byte("state-two")) // the copy owns its pages
+	if string(image(src)[:9]) != "state-one" {
+		t.Fatal("writing the copy changed the source")
+	}
+	if err := dst.CopyFrom(NewDevice(PageSize)); err == nil {
+		t.Fatal("copy between different capacities must fail")
 	}
 }
 
@@ -188,12 +197,12 @@ func TestQuickPersistedWritesSurvive(t *testing.T) {
 				if op%3 == 0 {
 					d.PersistAll()
 					// everything so far is durable: sync the shadow
-					shadow = d.Snapshot()
+					shadow = image(d)
 				}
 			}
 		}
 		d.Crash(rng)
-		got := d.Snapshot()
+		got := image(d)
 		// Every byte that the shadow knows as durable must either match
 		// the shadow or have been overwritten by a *later* write that
 		// survived the crash. Distinguishing the two in general needs
@@ -203,10 +212,19 @@ func TestQuickPersistedWritesSurvive(t *testing.T) {
 		// spot-check: a second crash changes nothing further.
 		before := got
 		d.Crash(rng)
-		after := d.Snapshot()
+		after := image(d)
 		return bytes.Equal(before, after)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// image reads a device's full contents.
+func image(d *Device) []byte {
+	img := make([]byte, d.Size())
+	if err := d.ReadAt(0, img); err != nil {
+		panic(err)
+	}
+	return img
 }
